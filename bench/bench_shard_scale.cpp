@@ -8,9 +8,12 @@
 //   build_s            full world build from synthesis
 //   shard_s            ShardedWorld::from_world over the default layout
 //   mono_cold_s        monolithic cold start to first answered point
-//                      query (mmap + full decode + adopt + evaluate)
-//   shard_cold_s       sharded cold start to first answered point query
-//                      (mmap + O(sections) validation, zero decode)
+//                      query: serve::Server construction from the store
+//                      (mmap + full decode + delta-log open and replay +
+//                      adopt), then one answered query
+//   shard_cold_s       the same for the sharded store (mmap +
+//                      O(sections) validation, zero decode, delta-log
+//                      open and replay) — what every fa_served start pays
 //   mono_qps/shard_qps closed-loop point-query throughput at
 //                      FA_SHARD_THREADS threads over each snapshot
 //
@@ -23,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -33,12 +37,10 @@
 #include "bench_common.hpp"
 #include "core/provider_risk.hpp"
 #include "core/world.hpp"
-#include "serve/snapshot.hpp"
+#include "serve/server.hpp"
 #include "shard/codec.hpp"
-#include "shard/recovery.hpp"
 #include "shard/world.hpp"
 #include "store/codec.hpp"
-#include "store/recovery.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -90,6 +92,24 @@ double run_qps(const fa::serve::Snapshot& snap,
   return elapsed > 0.0
              ? static_cast<double>(threads * per_thread) / elapsed
              : 0.0;
+}
+
+// Cold start to first answer: constructs a serve::Server over `store`
+// (recovery, delta-log open and replay, adopt) and answers one point
+// query through it. Null when the server did not load from the store —
+// a fresh build must not pass as a cold start.
+std::unique_ptr<fa::serve::Server> cold_start(
+    const fa::synth::ScenarioConfig& cfg, const std::string& store,
+    bool sharded, const fa::serve::PointRiskQuery& first, double& seconds) {
+  fa::serve::ServerOptions options;
+  options.store_dir = store;
+  options.sharded = sharded;
+  fa::bench::Stopwatch timer;
+  auto server = std::make_unique<fa::serve::Server>(cfg, options);
+  (void)server->point_risk(first);
+  seconds = timer.seconds();
+  if (!server->loaded_from_store()) return nullptr;
+  return server;
 }
 
 }  // namespace
@@ -149,36 +169,22 @@ int main() {
 
   const std::vector<serve::PointRiskQuery> pool = make_pool(512, cfg.seed);
 
-  // Monolithic cold start to first query: full decode, then adopt (which
-  // wraps the recovered aggregate) and answer one point query.
-  bench::Stopwatch mono_cold_timer;
-  fault::Result<store::RecoveredWorld> mono_rec =
-      store::recover_from(mono_path);
-  if (!mono_rec.ok()) {
-    std::fprintf(stderr, "monolithic recover failed: %s\n",
-                 mono_rec.status().to_string().c_str());
+  double mono_cold_s = 0.0;
+  const std::unique_ptr<serve::Server> mono_server =
+      cold_start(cfg, mono_path, false, pool[0], mono_cold_s);
+  if (!mono_server) {
+    std::fprintf(stderr, "monolithic server did not load from its store\n");
     return 1;
   }
-  const std::shared_ptr<const serve::Snapshot> mono_snap =
-      serve::Snapshot::adopt(std::move(mono_rec.value().loaded.world), 1,
-                             std::move(mono_rec.value().loaded.provider_risk));
-  (void)serve::evaluate(*mono_snap, pool[0]);
-  const double mono_cold_s = mono_cold_timer.seconds();
   std::printf("monolithic cold start to first query: %.3fs\n", mono_cold_s);
 
-  // Sharded cold start to first query: zero-copy open, no decode.
-  bench::Stopwatch shard_cold_timer;
-  fault::Result<shard::RecoveredShardedWorld> shrd_rec =
-      shard::recover_sharded(shrd_path);
-  if (!shrd_rec.ok()) {
-    std::fprintf(stderr, "sharded recover failed: %s\n",
-                 shrd_rec.status().to_string().c_str());
+  double shard_cold_s = 0.0;
+  const std::unique_ptr<serve::Server> shrd_server =
+      cold_start(cfg, shrd_path, true, pool[0], shard_cold_s);
+  if (!shrd_server) {
+    std::fprintf(stderr, "sharded server did not load from its store\n");
     return 1;
   }
-  const std::shared_ptr<const serve::Snapshot> shrd_snap =
-      serve::Snapshot::adopt_sharded(std::move(shrd_rec.value().world), 1);
-  (void)serve::evaluate(*shrd_snap, pool[0]);
-  const double shard_cold_s = shard_cold_timer.seconds();
   const double cold_speedup =
       shard_cold_s > 0.0 ? mono_cold_s / shard_cold_s : 0.0;
   const bool cold_faster = cold_speedup >= 10.0;
@@ -186,6 +192,10 @@ int main() {
       "sharded cold start to first query: %.4fs  (%.0fx, %s the 10x "
       "gate)\n",
       shard_cold_s, cold_speedup, cold_faster ? "clears" : "MISSES");
+  const std::shared_ptr<const serve::Snapshot> mono_snap =
+      mono_server->snapshots().acquire();
+  const std::shared_ptr<const serve::Snapshot> shrd_snap =
+      shrd_server->snapshots().acquire();
 
   // Byte-identity spot check over the whole pool before timing anything:
   // a fast wrong answer is not a result.

@@ -40,8 +40,16 @@ struct FeedOptions {
 // the next batch applies to: call tick() to get a raw batch, apply it
 // (all of it — the generator assumes its own output is accepted), and
 // tick() again for the successor epoch's batch.
+//
+// Lifetime: the generator keeps a pointer to `world` and reads it on
+// every tick(), so the World passed to the constructor must outlive the
+// generator. A serving epoch's world dies when the epoch is retired and
+// its last reader lets go, so a caller feeding a serve::Server holds the
+// source snapshot's shared_ptr for the generator's whole life (as
+// fa_served does).
 class FeedGenerator {
  public:
+  // `world` must outlive the generator (see above).
   FeedGenerator(const core::World& world, const FeedOptions& options);
 
   // One feed poll: fresh events plus re-served duplicates from the

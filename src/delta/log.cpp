@@ -125,16 +125,14 @@ fault::Status read_increment(const std::string& path,
   return {};
 }
 
-fault::Result<std::uint32_t> whole_file_crc(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return fault::Status::error(fault::ErrCode::kIoFailure, 0, path,
-                                "cannot open base image for crc");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = std::move(buf).str();
-  return store::crc32(bytes.data(), bytes.size());
+// Whole-file CRC of a base image, read through the mapping (no stream
+// copies); the bytes it covers land in delta.log.base_link_bytes.
+fault::Result<std::uint32_t> image_crc(const std::string& path) {
+  fault::Result<store::MappedFile> image = store::MappedFile::open(path);
+  if (!image.ok()) return image.status();
+  const store::MappedFile& file = image.value();
+  obs::count(obs::metrics::kDeltaLogBaseLinkBytes, file.size());
+  return store::crc32(file.data(), file.size());
 }
 
 }  // namespace
@@ -152,13 +150,8 @@ fault::Result<DeltaLog> DeltaLog::open(const store::StoreDir& dir,
                                        std::uint64_t base_gen,
                                        std::uint32_t base_crc) {
   DeltaLog log(dir, base_gen);
-  if (base_crc == 0) {
-    fault::Result<std::uint32_t> crc = whole_file_crc(
-        dir.file_path(store::generation_filename(base_gen)));
-    if (!crc.ok()) return crc.status();
-    base_crc = crc.value();
-  }
   log.chain_crc_ = base_crc;
+  log.linked_ = base_crc != 0;
   // Walk the existing chain to its tail; everything past the first
   // broken link is unreachable debris from a torn append.
   for (std::uint64_t ordinal = 0;; ++ordinal) {
@@ -167,6 +160,10 @@ fault::Result<DeltaLog> DeltaLog::open(const store::StoreDir& dir,
     if (::access(path.c_str(), F_OK) != 0) {
       log.next_ordinal_ = ordinal;
       break;
+    }
+    if (!log.linked_) {
+      // Increment 0 exists, so its link to the image must be checked.
+      if (fault::Status s = log.link_base(); !s.ok()) return s;
     }
     std::string payload;
     std::uint32_t file_crc = 0;
@@ -186,9 +183,27 @@ fault::Result<DeltaLog> DeltaLog::open(const store::StoreDir& dir,
   return log;
 }
 
+std::string DeltaLog::base_image_path() const {
+  return dir_path_ + "/" + store::generation_filename(base_gen_);
+}
+
+fault::Status DeltaLog::link_base() {
+  fault::Result<std::uint32_t> crc = image_crc(base_image_path());
+  if (!crc.ok()) return crc.status();
+  chain_crc_ = crc.value();
+  linked_ = true;
+  return {};
+}
+
 fault::Result<std::uint64_t> DeltaLog::append(
     std::span<const FeedEvent> batch) {
   const obs::Span span("delta.log.append_ns");
+  if (!linked_) {
+    if (fault::Status s = link_base(); !s.ok()) {
+      obs::count(obs::metrics::kDeltaLogAppendFailures);
+      return s;
+    }
+  }
   const std::string image = encode_increment(
       base_gen_, next_ordinal_, chain_crc_, encode_events(batch));
   const std::string filename = increment_filename(base_gen_, next_ordinal_);
@@ -244,17 +259,17 @@ DeltaLog::Replay DeltaLog::replay() const {
   // The on-disk chain may be longer than this handle has seen (another
   // writer) or shorter (pruned); trust only the disk.
   std::uint32_t expected_prev = 0;
-  {
-    // Re-derive the base link so replay stands alone on cold start.
-    fault::Result<std::uint32_t> crc = whole_file_crc(
-        dir_path_ + "/" + store::generation_filename(base_gen_));
-    if (!crc.ok()) return out;
-    expected_prev = crc.value();
-  }
   for (std::uint64_t ordinal = 0;; ++ordinal) {
     const std::string path =
         dir_path_ + "/" + increment_filename(base_gen_, ordinal);
     if (::access(path.c_str(), F_OK) != 0) break;
+    if (ordinal == 0) {
+      // Re-derive the base link from the image bytes so replay stands
+      // alone on cold start; an empty chain never reads the image.
+      fault::Result<std::uint32_t> crc = image_crc(base_image_path());
+      if (!crc.ok()) return out;
+      expected_prev = crc.value();
+    }
     std::string payload;
     std::uint32_t file_crc = 0;
     if (!read_increment(path, base_gen_, ordinal, expected_prev, payload,

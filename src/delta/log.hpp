@@ -38,7 +38,9 @@ class DeltaLog {
 
   // Opens the increment chain for `base_gen` in `dir`. `base_crc` is
   // the base snapshot's whole-file CRC as the manifest records it; pass
-  // 0 (a scan() manifest) to have it computed from the image file.
+  // 0 (a scan() manifest) to have it computed from the image file —
+  // lazily: only once increment 0 exists or the first append needs the
+  // link, so opening an empty chain reads no image bytes.
   // Scans existing increments to find the chain tail; unreachable
   // files past a broken link are deleted (they can never replay).
   static fault::Result<DeltaLog> open(const store::StoreDir& dir,
@@ -55,7 +57,9 @@ class DeltaLog {
     // Increment files dropped at the first broken link (torn tail).
     std::size_t truncated = 0;
   };
-  // Re-reads and verifies the chain from disk (cold start).
+  // Re-reads and verifies the chain from disk (cold start). The base
+  // link is re-derived from the image bytes (CRC over the mapping) only
+  // when increment 0 exists: an empty chain reads nothing of the image.
   Replay replay() const;
 
   std::uint64_t base_generation() const { return base_gen_; }
@@ -71,10 +75,15 @@ class DeltaLog {
   DeltaLog(const store::StoreDir& dir, std::uint64_t base_gen)
       : dir_path_(dir.path()), base_gen_(base_gen) {}
 
+  std::string base_image_path() const;
+  // Derives chain_crc_ from the base image (the link of increment 0).
+  fault::Status link_base();
+
   std::string dir_path_;
   std::uint64_t base_gen_ = 0;
   std::uint64_t next_ordinal_ = 0;
   std::uint32_t chain_crc_ = 0;  // whole-file CRC of the chain tail
+  bool linked_ = false;          // chain_crc_ is known
 };
 
 // Increment filename ("gen-000042.d-000007.fad").

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cmath>
 
 namespace fa::index {
 
@@ -208,57 +206,6 @@ std::size_t GridIndex::count(const geo::BBox& q) const {
   std::size_t n = 0;
   query(q, [&n](std::uint32_t, geo::Vec2) { ++n; });
   return n;
-}
-
-std::vector<std::uint32_t> GridIndex::nearest(geo::Vec2 target,
-                                              std::size_t k) const {
-  std::vector<std::uint32_t> out;
-  if (points_.empty() || k == 0) return out;
-  k = std::min(k, points_.size());
-
-  const int tc = col_of(target.x);
-  const int tr = row_of(target.y);
-  // candidates: (distance2, id), grown ring by ring until the kth-best
-  // confirmed distance is inside the searched ring radius.
-  std::vector<std::pair<double, std::uint32_t>> candidates;
-  const double cell_w = bounds_.width() / cols_;
-  const double cell_h = bounds_.height() / rows_;
-  const int max_ring = std::max(cols_, rows_);
-  for (int ring = 0; ring <= max_ring; ++ring) {
-    // Visit the cells on this ring only.
-    for (int r = tr - ring; r <= tr + ring; ++r) {
-      if (r < 0 || r >= rows_) continue;
-      for (int c = tc - ring; c <= tc + ring; ++c) {
-        if (c < 0 || c >= cols_) continue;
-        if (std::max(std::abs(c - tc), std::abs(r - tr)) != ring) continue;
-        const std::size_t cell =
-            static_cast<std::size_t>(r) * cols_ + c;
-        for (std::uint32_t i = cell_start_[cell]; i < cell_start_[cell + 1];
-             ++i) {
-          const std::uint32_t id = binned_[i];
-          candidates.push_back({geo::distance2(points_[id], target), id});
-        }
-      }
-    }
-    if (candidates.size() >= k) {
-      std::nth_element(candidates.begin(),
-                       candidates.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                       candidates.end());
-      // Confirmed when the kth distance fits inside the searched ring.
-      const double ring_reach =
-          static_cast<double>(ring) * std::min(cell_w, cell_h);
-      if (candidates[k - 1].first <= ring_reach * ring_reach ||
-          ring == max_ring) {
-        break;
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  out.reserve(k);
-  for (std::size_t i = 0; i < k && i < candidates.size(); ++i) {
-    out.push_back(candidates[i].second);
-  }
-  return out;
 }
 
 }  // namespace fa::index

@@ -115,11 +115,6 @@ class GridIndex {
   // Count of points within `query` (exact).
   std::size_t count(const geo::BBox& query) const;
 
-  // The k nearest points to `target` (Euclidean in index coordinates),
-  // nearest first. Expands the bin search ring until k candidates are
-  // confirmed; returns fewer than k only when the index holds fewer.
-  std::vector<std::uint32_t> nearest(geo::Vec2 target, std::size_t k) const;
-
   geo::Vec2 point(std::uint32_t id) const { return points_[id]; }
 
  private:

@@ -68,6 +68,18 @@ struct NetServerOptions {
   obs::Registry* registry = nullptr;
 };
 
+// The timeout sweep's write-stall verdict: an outbox whose last send
+// progress was stamped at `progress_ns` has stalled when, as of
+// `now_ns`, it made none for longer than `timeout_ns`. The sweep reads
+// its clock before taking the connection's mutex, so a worker can stamp
+// progress after `now_ns`; that stamp is fresh progress, never a stall
+// (in unsigned arithmetic the age would wrap to ~2^64 and close a
+// healthy connection mid-reply).
+constexpr bool write_stalled(std::uint64_t now_ns, std::uint64_t progress_ns,
+                             std::uint64_t timeout_ns) {
+  return progress_ns < now_ns && now_ns - progress_ns > timeout_ns;
+}
+
 class NetServer {
  public:
   // Binds, listens, and starts the IO thread and workers. Throws

@@ -240,6 +240,10 @@ inline constexpr std::string_view kDeltaLogAppendFailures =
     "delta.log.append_failures";
 inline constexpr std::string_view kDeltaLogReplayed = "delta.log.replayed";
 inline constexpr std::string_view kDeltaLogTruncated = "delta.log.truncated";
+// Base-image bytes CRC'd to derive the chain's root link (zero for an
+// empty chain: the link is derived only when increment 0 exists).
+inline constexpr std::string_view kDeltaLogBaseLinkBytes =
+    "delta.log.base_link_bytes";
 // Span names (nanoseconds).
 inline constexpr std::string_view kDeltaFeedTickNs = "delta.feed.tick_ns";
 inline constexpr std::string_view kDeltaApplyNs = "delta.apply_ns";

@@ -110,11 +110,13 @@ void Server::cold_start_sharded(const synth::ScenarioConfig& config) {
   // Replay the generation's delta-log chain, exactly like the
   // monolithic ladder — but replaying needs the monolithic world, so
   // the view only materializes when the chain is non-empty: the common
-  // no-log cold start stays zero-copy. A degraded view (quarantined
-  // shards) cannot materialize; it serves the bare generation image and
-  // the log disengages, same contract as a diverged batch.
+  // no-log cold start stays zero-copy. Every batch applies to the
+  // world; the serving view is resharded once, from the last world that
+  // applied (the intermediate views would never serve). A degraded view
+  // (quarantined shards) cannot materialize; it serves the bare
+  // generation image and the log disengages, same contract as a
+  // diverged batch.
   std::optional<core::World> world;
-  core::ProviderRiskResult risk = view.provider_risk();
   if (auto log = delta::DeltaLog::open(*store_dir_, rec.generation.number,
                                        rec.generation.crc);
       log.ok()) {
@@ -129,6 +131,8 @@ void Server::cold_start_sharded(const synth::ScenarioConfig& config) {
       }
     }
     if (world.has_value()) {
+      core::ProviderRiskResult risk = view.provider_risk();
+      std::size_t applied_batches = 0;
       for (const std::vector<delta::FeedEvent>& batch : replayed.batches) {
         delta::ApplyOptions apply_options;
         apply_options.policy = options_.policy;
@@ -139,9 +143,14 @@ void Server::cold_start_sharded(const synth::ScenarioConfig& config) {
           break;
         }
         delta::ApplyResult result = std::move(applied).take();
-        view = shard::apply_update(view, result);
         world.emplace(std::move(result.world));
         risk = std::move(result.provider_risk);
+        ++applied_batches;
+      }
+      // The lineage's layout is fixed at birth, so one from_world over
+      // it is the view apply_update would have reached batch by batch.
+      if (applied_batches > 0) {
+        view = shard::ShardedWorld::from_world(*world, risk, view.layout());
       }
     }
     if (diverged) delta_log_.reset();

@@ -14,6 +14,8 @@
 
 #include "delta/event.hpp"
 #include "delta/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "store/store.hpp"
 #include "../store/store_test_util.hpp"
 
@@ -31,6 +33,13 @@ void spit(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
+
+// Counters drop while obs is off; force it on for the scope.
+struct ObsOn {
+  bool was = obs::enabled();
+  ObsOn() { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was); }
+};
 
 bool file_exists(const std::string& path) {
   std::ifstream in(path);
@@ -100,6 +109,46 @@ TEST(DeltaLog, ZeroBaseCrcComputedFromImage) {
   DeltaLog d = std::move(log).take();
   ASSERT_TRUE(d.append(batch(0, 2)).ok());
   EXPECT_EQ(d.replay().batches.size(), 1u);
+}
+
+TEST(DeltaLog, EmptyChainReadsNoBaseImageBytes) {
+  Fixture fx;
+  ObsOn obs_on;
+  obs::ScopedRegistry scoped;
+  const auto link_bytes = [&] {
+    return scoped.registry()
+        .counter(obs::metrics::kDeltaLogBaseLinkBytes)
+        .value();
+  };
+  // The common cold start: no increments. Neither open() without the
+  // manifest CRC nor replay() needs the base link, so neither reads it.
+  DeltaLog d = DeltaLog::open(fx.dir, fx.gen.number, 0).take();
+  EXPECT_TRUE(d.replay().batches.empty());
+  EXPECT_EQ(link_bytes(), 0u);
+  // The first append needs the link; every replay of a non-empty chain
+  // re-derives it from the whole image.
+  ASSERT_TRUE(d.append(batch(0, 2)).ok());
+  EXPECT_EQ(link_bytes(), fx.gen.size);
+  EXPECT_EQ(d.replay().batches.size(), 1u);
+  EXPECT_EQ(link_bytes(), 2 * fx.gen.size);
+}
+
+TEST(DeltaLog, OverwrittenBaseImageOrphansChain) {
+  Fixture fx;
+  DeltaLog d = DeltaLog::open(fx.dir, fx.gen.number, fx.gen.crc).take();
+  ASSERT_TRUE(d.append(batch(0, 2)).ok());
+  ASSERT_TRUE(d.append(batch(2, 2)).ok());
+  // Same length, one byte different: the link is checked against the
+  // image bytes on disk, not against the CRC the handle was opened with.
+  const std::string image =
+      fx.dir.file_path(store::generation_filename(fx.gen.number));
+  std::string bytes = slurp(image);
+  bytes[0] = static_cast<char>(bytes[0] ^ 0x01);
+  spit(image, bytes);
+
+  const DeltaLog::Replay replayed = d.replay();
+  EXPECT_TRUE(replayed.batches.empty());
+  EXPECT_EQ(replayed.truncated, 1u);
 }
 
 TEST(DeltaLog, ReopenFindsChainTail) {

@@ -144,44 +144,5 @@ TEST_P(GridResolutionSweep, PartitionCountsSum) {
 INSTANTIATE_TEST_SUITE_P(Resolutions, GridResolutionSweep,
                          ::testing::Values(1, 2, 8, 32, 100));
 
-TEST(GridIndexNearest, MatchesBruteForce) {
-  std::mt19937_64 rng(55);
-  std::uniform_real_distribution<double> pos(0.0, 40.0);
-  std::vector<Vec2> pts;
-  for (int i = 0; i < 800; ++i) pts.push_back({pos(rng), pos(rng)});
-  const GridIndex idx(pts, BBox{0, 0, 40, 40}, 10, 10);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Vec2 q{pos(rng), pos(rng)};
-    const auto got = idx.nearest(q, 5);
-    ASSERT_EQ(got.size(), 5u);
-    // Brute-force reference.
-    std::vector<std::pair<double, std::uint32_t>> ref;
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      ref.push_back({geo::distance2(pts[i], q), i});
-    }
-    std::sort(ref.begin(), ref.end());
-    for (std::size_t k = 0; k < 5; ++k) {
-      EXPECT_EQ(got[k], ref[k].second) << "trial " << trial << " k " << k;
-    }
-  }
-}
-
-TEST(GridIndexNearest, EdgeCases) {
-  const GridIndex empty;
-  EXPECT_TRUE(empty.nearest({0, 0}, 3).empty());
-  const GridIndex one({{5, 5}}, BBox{0, 0, 10, 10}, 4, 4);
-  EXPECT_EQ(one.nearest({0, 0}, 3), std::vector<std::uint32_t>{0});
-  EXPECT_TRUE(one.nearest({0, 0}, 0).empty());
-  // Query far outside the bounds still resolves.
-  EXPECT_EQ(one.nearest({100, 100}, 1), std::vector<std::uint32_t>{0});
-}
-
-TEST(GridIndexNearest, NearestFirstOrdering) {
-  std::vector<Vec2> pts{{1, 1}, {2, 2}, {8, 8}, {9, 9}};
-  const GridIndex idx(pts, BBox{0, 0, 10, 10}, 5, 5);
-  const auto got = idx.nearest({0, 0}, 4);
-  EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-}
-
 }  // namespace
 }  // namespace fa::index

@@ -492,6 +492,21 @@ TEST(NetServer, WriteStallTimeoutReapsStalledOutbox) {
   net.shutdown();
 }
 
+TEST(NetServer, WriteStallIgnoresProgressStampedAfterSweepClock) {
+  // The sweep reads its clock, then takes each connection's mutex; a
+  // worker delivering a reply into an empty outbox in between stamps a
+  // progress time later than the sweep's. That connection is healthy.
+  const std::uint64_t timeout_ns = 10'000ull * 1'000'000ull;
+  const std::uint64_t now_ns = 5'000'000'000ull;
+  EXPECT_FALSE(write_stalled(now_ns, now_ns + 1, timeout_ns));
+  EXPECT_FALSE(write_stalled(now_ns, now_ns + timeout_ns * 2, timeout_ns));
+  EXPECT_FALSE(write_stalled(now_ns, now_ns, timeout_ns));
+  // Ordinary verdicts are unchanged: strictly past the timeout stalls.
+  EXPECT_FALSE(write_stalled(now_ns + timeout_ns, now_ns, timeout_ns));
+  EXPECT_TRUE(write_stalled(now_ns + timeout_ns + 1, now_ns, timeout_ns));
+  EXPECT_TRUE(write_stalled(now_ns, 0, now_ns - 1));
+}
+
 TEST(NetServer, RejectsSignedOrPaddedContentLength) {
   serve::Server& backend = shared_server();
   NetServer net(backend, {});

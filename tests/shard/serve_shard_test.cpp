@@ -14,6 +14,7 @@
 #include "serve/server.hpp"
 #include "shard/codec.hpp"
 #include "shard_test_util.hpp"
+#include "store/codec.hpp"
 
 namespace fa::shard {
 namespace {
@@ -109,6 +110,55 @@ TEST(ServeSharded, ApplyDeltaPublishesShardedEpochMatchingMonolithic) {
     ASSERT_TRUE(ask(mono, stream[i]) == ask(shrd, stream[i]))
         << "query " << i << " diverged after incremental epochs";
   }
+}
+
+TEST(ServeSharded, ColdStartReplaysChainToServingBytes) {
+  TempDir tmp;
+  std::string live_shards;
+  std::string live_world;
+  {
+    serve::Server server(st::small_config(), sharded_options(tmp.path));
+    ASSERT_TRUE(server.save_snapshot().ok());  // roots the delta log
+    delta::FeedOptions feed_options;
+    feed_options.seed = 11;
+    // The generator reads its world on every tick; pin the snapshot.
+    const auto base = server.snapshots().acquire();
+    delta::FeedGenerator gen(base->world(), feed_options);
+    delta::FeedIngestor ingest;
+    constexpr int kTicks = 4;
+    std::size_t retire_batches = 0;
+    for (int tick = 0; tick < kTicks; ++tick) {
+      std::vector<delta::FeedEvent> events = gen.tick();
+      if (tick == kTicks - 1) {
+        // A retire-free last batch: the live server reaches it through
+        // the incremental shard rebuild, not a full reshard.
+        std::erase_if(events, [](const delta::FeedEvent& e) {
+          return e.kind == delta::EventKind::kRetireTransceiver;
+        });
+      }
+      auto accepted = ingest.ingest(std::move(events));
+      ASSERT_TRUE(accepted.ok());
+      delta::ApplyStats stats;
+      ASSERT_TRUE(server.apply_delta(accepted.value(), &stats).ok());
+      if (stats.retires > 0) ++retire_batches;
+      if (tick == kTicks - 1) {
+        EXPECT_EQ(stats.retires, 0u);
+      }
+    }
+    EXPECT_GT(retire_batches, 0u);
+    const auto live = server.snapshots().acquire();
+    live_shards = encode_sharded(*live->sharded());
+    live_world = store::encode_world(live->world(), live->provider_risk());
+  }
+  serve::Server reborn(st::small_config(), sharded_options(tmp.path));
+  ASSERT_TRUE(reborn.loaded_from_store());
+  const auto snap = reborn.snapshots().acquire();
+  ASSERT_NE(snap->sharded(), nullptr);
+  EXPECT_TRUE(encode_sharded(*snap->sharded()) == live_shards)
+      << "replayed shards differ from the live final epoch";
+  EXPECT_TRUE(store::encode_world(snap->world(), snap->provider_risk()) ==
+              live_world)
+      << "replayed world differs from the live final epoch";
 }
 
 TEST(ServeSharded, DamagedStoreServesDegradedAndRefusesPersist) {
